@@ -24,6 +24,15 @@
 //! it verifies the catalog's magic/generation/CRC, re-verifies every
 //! committed block's payload CRC, and truncates the uncommitted data tail.
 //!
+//! [`FileDevice`] collects appends in a fixed 1 MiB buffer in memory,
+//! which `read` serves from. The buffer reaches the data file when the
+//! next append would overflow it, and always before a `sync`, a `crash`,
+//! a drop of the device, and any write the fault plan tears or crashes.
+//! The data file therefore holds the same bytes at every sync, crash and
+//! reopen as it would if each append were its own `pwrite`, and the
+//! catalog is serialized straight from one map of visible blocks kept in
+//! [`BlockId`] order.
+//!
 //! # Fault kinds
 //!
 //! The physical fault kinds of [`FaultPlan`] are interpreted here:
@@ -33,7 +42,7 @@
 //! tears the `n`-th physical write and poisons the device — every later
 //! operation fails with [`EmError::Io`] until the store is reopened.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fs;
 use std::io::Write as _;
 use std::os::unix::fs::FileExt;
@@ -94,8 +103,9 @@ pub trait BlockDevice: Send + Sync + std::fmt::Debug {
     /// immediately, durable only after [`BlockDevice::sync`]).
     fn write(&self, id: BlockId, payload: &[u8]) -> Result<(), EmError>;
 
-    /// Make every write so far durable: on [`FileDevice`] this fsyncs the
-    /// data file and commits a new catalog generation atomically.
+    /// Make every write so far durable: on [`FileDevice`] this writes out
+    /// buffered appends, fsyncs the data file and commits a new catalog
+    /// generation atomically.
     fn sync(&self) -> Result<(), EmError>;
 
     /// Simulate power loss and restart: staged (unsynced) writes vanish,
@@ -124,8 +134,11 @@ pub trait BlockDevice: Send + Sync + std::fmt::Debug {
 /// corruption instead of silent wrong answers.
 const CRC64_POLY: u64 = 0xC96C_5795_D787_0F42;
 
-const fn crc64_table() -> [u64; 256] {
-    let mut table = [0u64; 256];
+/// Slicing-by-8 tables: `[0]` is the classic bytewise table, and `[k]`
+/// advances a byte's contribution through `k` further zero bytes, so eight
+/// input bytes fold into the CRC with eight independent lookups.
+const fn crc64_tables() -> [[u64; 256]; 8] {
+    let mut tables = [[0u64; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u64;
@@ -134,32 +147,75 @@ const fn crc64_table() -> [u64; 256] {
             crc = if crc & 1 == 1 { (crc >> 1) ^ CRC64_POLY } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC64_TABLE: [u64; 256] = crc64_table();
+static CRC64_TABLES: [[u64; 256]; 8] = crc64_tables();
+
+/// Streaming CRC-64 state, so a checksum can span several slices without
+/// first copying them into one buffer.
+struct Crc64(u64);
+
+impl Crc64 {
+    fn new() -> Self {
+        Crc64(!0)
+    }
+
+    fn update(&mut self, bytes: &[u8]) -> &mut Self {
+        let t = &CRC64_TABLES;
+        let mut crc = self.0;
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            let x = crc ^ u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
+            let b = x.to_le_bytes();
+            crc = t[7][usize::from(b[0])]
+                ^ t[6][usize::from(b[1])]
+                ^ t[5][usize::from(b[2])]
+                ^ t[4][usize::from(b[3])]
+                ^ t[3][usize::from(b[4])]
+                ^ t[2][usize::from(b[5])]
+                ^ t[1][usize::from(b[6])]
+                ^ t[0][usize::from(b[7])];
+        }
+        for &b in chunks.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ u64::from(b)) & 0xFF) as usize];
+        }
+        self.0 = crc;
+        self
+    }
+
+    fn finish(&self) -> u64 {
+        !self.0
+    }
+}
 
 /// CRC-64 of `bytes` (ECMA-182, reflected, init/xorout `!0`).
 pub fn crc64(bytes: &[u8]) -> u64 {
-    let mut crc = !0u64;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC64_TABLE[((crc ^ u64::from(b)) & 0xFF) as usize];
-    }
-    !crc
+    Crc64::new().update(bytes).finish()
 }
 
 /// CRC input for a block: the address is mixed in so a payload that lands
 /// at the wrong `(ns, array, block)` (a misdirected write) also fails.
 fn payload_crc(id: BlockId, payload: &[u8]) -> u64 {
-    let mut buf = Vec::with_capacity(24 + payload.len());
-    buf.extend_from_slice(&id.ns.to_le_bytes());
-    buf.extend_from_slice(&id.array.to_le_bytes());
-    buf.extend_from_slice(&id.block.to_le_bytes());
-    buf.extend_from_slice(payload);
-    crc64(&buf)
+    Crc64::new()
+        .update(&id.ns.to_le_bytes())
+        .update(&id.array.to_le_bytes())
+        .update(&id.block.to_le_bytes())
+        .update(payload)
+        .finish()
 }
 
 /// How many payload bytes a torn write actually persists: half, so the CRC
@@ -344,6 +400,10 @@ const CATALOG_NAME: &str = "catalog";
 const CATALOG_TMP_NAME: &str = "catalog.tmp";
 const DATA_NAME: &str = "data";
 
+/// Size of [`FileDevice`]'s append buffer: appends collect here and reach
+/// the data file in one `pwrite` when the next one would overflow it.
+const APPEND_BUF_BYTES: usize = 1 << 20;
+
 #[derive(Clone, Copy, Debug)]
 struct CatEntry {
     offset: u64,
@@ -371,9 +431,14 @@ pub struct RecoveryReport {
 #[derive(Debug)]
 struct FileState {
     data: fs::File,
+    /// Where the next append lands: the data file's logical end.
     tail: u64,
-    committed: HashMap<BlockId, CatEntry>,
-    staged: HashMap<BlockId, CatEntry>,
+    /// Appended bytes not yet written to `data`; they cover
+    /// `[tail - pending.len(), tail)`.
+    pending: Vec<u8>,
+    /// Every visible block, synced or not, in `BlockId` order — the order
+    /// the catalog is serialized in.
+    entries: BTreeMap<BlockId, CatEntry>,
     generation: u64,
     writes: u64,
     reads: u64,
@@ -424,8 +489,8 @@ impl FileDevice {
         let mut state = FileState {
             data,
             tail: 0,
-            committed: HashMap::new(),
-            staged: HashMap::new(),
+            pending: Vec::new(),
+            entries: BTreeMap::new(),
             generation: 0,
             writes: 0,
             reads: 0,
@@ -470,7 +535,7 @@ impl FileDevice {
     fn recover_into(&self, state: &mut FileState) -> Result<(), EmError> {
         let cat_path = self.catalog_path();
         let mut report = RecoveryReport::default();
-        let mut committed = HashMap::new();
+        let mut committed = BTreeMap::new();
         let mut generation = 0u64;
         match fs::read(&cat_path) {
             Ok(bytes) => {
@@ -523,8 +588,8 @@ impl FileDevice {
         report.generation = generation;
         report.committed_blocks = committed.len() as u64;
         state.tail = extent;
-        state.committed = committed;
-        state.staged.clear();
+        state.pending.clear();
+        state.entries = committed;
         state.generation = generation;
         state.poisoned = false;
         state.recovery = report;
@@ -534,9 +599,7 @@ impl FileDevice {
     /// Serialize and atomically install a new catalog generation.
     fn commit_catalog(&self, st: &mut FileState) -> Result<(), EmError> {
         let next_gen = st.generation + 1;
-        let mut merged = st.committed.clone();
-        merged.extend(st.staged.iter().map(|(k, v)| (*k, *v)));
-        let bytes = serialize_catalog(next_gen, &merged);
+        let bytes = serialize_catalog(next_gen, &st.entries);
         let tmp_path = self.dir.join(CATALOG_TMP_NAME);
         let cat_path = self.catalog_path();
         {
@@ -560,9 +623,21 @@ impl FileDevice {
             .map_err(|e| EmError::io("open", self.dir.clone(), 0, e))?;
         dirf.sync_all()
             .map_err(|e| EmError::io("fsync", self.dir.clone(), 0, e))?;
-        st.committed = merged;
-        st.staged.clear();
         st.generation = next_gen;
+        Ok(())
+    }
+
+    /// Write the append buffer to the data file at its place before the
+    /// tail. On failure the bytes stay buffered and the next flush retries.
+    fn flush(&self, st: &mut FileState) -> Result<(), EmError> {
+        if st.pending.is_empty() {
+            return Ok(());
+        }
+        let at = st.tail - st.pending.len() as u64;
+        st.data
+            .write_all_at(&st.pending, at)
+            .map_err(|e| EmError::io("pwrite", self.data_path(), at, e))?;
+        st.pending.clear();
         Ok(())
     }
 
@@ -584,8 +659,8 @@ fn state_placeholder() -> FileState {
         // always openable and never read through this placeholder.
         data: fs::File::open("/dev/null").expect("/dev/null exists"),
         tail: 0,
-        committed: HashMap::new(),
-        staged: HashMap::new(),
+        pending: Vec::new(),
+        entries: BTreeMap::new(),
         generation: 0,
         writes: 0,
         reads: 0,
@@ -594,15 +669,12 @@ fn state_placeholder() -> FileState {
     }
 }
 
-fn serialize_catalog(generation: u64, entries: &HashMap<BlockId, CatEntry>) -> Vec<u8> {
-    let mut ids: Vec<&BlockId> = entries.keys().collect();
-    ids.sort_unstable();
+fn serialize_catalog(generation: u64, entries: &BTreeMap<BlockId, CatEntry>) -> Vec<u8> {
     let mut out = Vec::with_capacity(32 + entries.len() * 44);
     out.extend_from_slice(CATALOG_MAGIC);
     out.extend_from_slice(&generation.to_le_bytes());
     out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-    for id in ids {
-        let e = &entries[id];
+    for (id, e) in entries {
         out.extend_from_slice(&id.ns.to_le_bytes());
         out.extend_from_slice(&id.array.to_le_bytes());
         out.extend_from_slice(&id.block.to_le_bytes());
@@ -621,7 +693,7 @@ fn catalog_corrupt() -> EmError {
     EmError::Corrupt { array_id: u64::MAX, block: u64::MAX }
 }
 
-fn parse_catalog(bytes: &[u8]) -> Result<(u64, HashMap<BlockId, CatEntry>), EmError> {
+fn parse_catalog(bytes: &[u8]) -> Result<(u64, BTreeMap<BlockId, CatEntry>), EmError> {
     let take_u64 = |b: &[u8], at: usize| -> u64 {
         u64::from_le_bytes(b[at..at + 8].try_into().expect("8 bytes"))
     };
@@ -633,23 +705,26 @@ fn parse_catalog(bytes: &[u8]) -> Result<(u64, HashMap<BlockId, CatEntry>), EmEr
         return Err(catalog_corrupt());
     }
     let generation = take_u64(bytes, 8);
-    let count = take_u64(bytes, 16) as usize;
-    if bytes.len() != 32 + count * 44 {
+    // The count on disk is only trusted once it agrees with the length;
+    // checked arithmetic keeps a huge count from wrapping into agreement.
+    let count = take_u64(bytes, 16);
+    if count.checked_mul(44).and_then(|n| n.checked_add(32)) != Some(bytes.len() as u64) {
         return Err(catalog_corrupt());
     }
-    let mut entries = HashMap::with_capacity(count);
-    for i in 0..count {
-        let at = 24 + i * 44;
-        let id = BlockId {
-            ns: take_u64(bytes, at),
-            array: take_u64(bytes, at + 8),
-            block: take_u64(bytes, at + 16),
-        };
-        let offset = take_u64(bytes, at + 24);
-        let len = u32::from_le_bytes(bytes[at + 32..at + 36].try_into().expect("4 bytes"));
-        let crc = take_u64(bytes, at + 36);
-        entries.insert(id, CatEntry { offset, len, crc });
-    }
+    let entries = bytes[24..bytes.len() - 8]
+        .chunks_exact(44)
+        .map(|e| {
+            let id = BlockId {
+                ns: take_u64(e, 0),
+                array: take_u64(e, 8),
+                block: take_u64(e, 16),
+            };
+            let offset = take_u64(e, 24);
+            let len = u32::from_le_bytes(e[32..36].try_into().expect("4 bytes"));
+            let crc = take_u64(e, 36);
+            (id, CatEntry { offset, len, crc })
+        })
+        .collect();
     Ok((generation, entries))
 }
 
@@ -668,19 +743,26 @@ impl BlockDevice for FileDevice {
         if self.plan.is_short_read(idx) {
             return Err(EmError::Transient { array_id: id.array, block: id.block });
         }
-        let Some(entry) = st.staged.get(&id).or_else(|| st.committed.get(&id)).copied() else {
+        let Some(entry) = st.entries.get(&id).copied() else {
             return Ok(None);
         };
-        let mut buf = vec![0u8; entry.len as usize];
-        match st.data.read_exact_at(&mut buf, entry.offset) {
-            Ok(()) => {}
-            // A cataloged block with no bytes under it is corruption (a
-            // truncated or misdirected store), not an I/O environment error.
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-                return Err(EmError::Corrupt { array_id: id.array, block: id.block });
+        let buffered_from = st.tail - st.pending.len() as u64;
+        let buf = if entry.offset >= buffered_from {
+            let at = (entry.offset - buffered_from) as usize;
+            st.pending[at..at + entry.len as usize].to_vec()
+        } else {
+            let mut buf = vec![0u8; entry.len as usize];
+            match st.data.read_exact_at(&mut buf, entry.offset) {
+                Ok(()) => {}
+                // A cataloged block with no bytes under it is corruption (a
+                // truncated or misdirected store), not an I/O environment error.
+                Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
+                    return Err(EmError::Corrupt { array_id: id.array, block: id.block });
+                }
+                Err(e) => return Err(EmError::io("pread", self.data_path(), entry.offset, e)),
             }
-            Err(e) => return Err(EmError::io("pread", self.data_path(), entry.offset, e)),
-        }
+            buf
+        };
         if payload_crc(id, &buf) != entry.crc {
             return Err(EmError::Corrupt { array_id: id.array, block: id.block });
         }
@@ -697,7 +779,15 @@ impl BlockDevice for FileDevice {
         let offset = st.tail;
         let crc = payload_crc(id, payload);
         let full_len = payload.len();
-        if self.plan.crash_after == Some(idx) {
+        let crashes = self.plan.crash_after == Some(idx);
+        let torn = !crashes && self.plan.is_torn_write(idx);
+        // Flush when the buffer would overflow, and before a faulted write:
+        // that one goes straight to the file, so everything appended before
+        // it must be there first — the layout an unbuffered device leaves.
+        if crashes || torn || st.pending.len() + full_len > APPEND_BUF_BYTES {
+            self.flush(&mut st)?;
+        }
+        if crashes {
             // The crash interrupts this very pwrite: a prefix lands, the
             // catalog never learns of it, and the device is dead until
             // reopened.
@@ -710,17 +800,16 @@ impl BlockDevice for FileDevice {
                 std::io::Error::other("crash point reached mid-write"),
             ));
         }
-        let persisted: &[u8] = if self.plan.is_torn_write(idx) {
-            &payload[..torn_len(full_len)]
+        if torn {
+            st.data
+                .write_all_at(&payload[..torn_len(full_len)], offset)
+                .map_err(|e| EmError::io("pwrite", self.data_path(), offset, e))?;
         } else {
-            payload
-        };
-        st.data
-            .write_all_at(persisted, offset)
-            .map_err(|e| EmError::io("pwrite", self.data_path(), offset, e))?;
+            st.pending.extend_from_slice(payload);
+        }
         // The writer believes the full payload landed: the entry records
         // the intended length and CRC, the tail advances past the gap.
-        st.staged.insert(id, CatEntry { offset, len: full_len as u32, crc });
+        st.entries.insert(id, CatEntry { offset, len: full_len as u32, crc });
         st.tail = offset + full_len as u64;
         Ok(())
     }
@@ -730,6 +819,7 @@ impl BlockDevice for FileDevice {
         if st.poisoned {
             return Err(self.poisoned_err("fsync"));
         }
+        self.flush(&mut st)?;
         // DURABILITY: payload bytes must hit the medium before the catalog
         // that points at them is published — the write-ahead order that
         // makes every committed entry readable after a crash.
@@ -741,6 +831,9 @@ impl BlockDevice for FileDevice {
 
     fn crash(&self) {
         let mut st = self.lock();
+        // Buffered appends had reached the page cache as far as the model
+        // goes, so they land in the file and recovery truncates them.
+        let _ = self.flush(&mut st);
         let mut fresh = state_placeholder();
         std::mem::swap(&mut *st, &mut fresh);
         drop(fresh); // the old data handle; recovery reopens it
@@ -765,12 +858,7 @@ impl BlockDevice for FileDevice {
     }
 
     fn len(&self) -> u64 {
-        let st = self.lock();
-        let mut keys: Vec<&BlockId> = st.committed.keys().collect();
-        keys.extend(st.staged.keys());
-        keys.sort_unstable();
-        keys.dedup();
-        keys.len() as u64
+        self.lock().entries.len() as u64
     }
 
     fn generation(&self) -> u64 {
@@ -778,17 +866,18 @@ impl BlockDevice for FileDevice {
     }
 
     fn blocks_of(&self, ns: u64, array: u64) -> Vec<u64> {
-        let st = self.lock();
-        let mut v: Vec<u64> = st
-            .committed
-            .keys()
-            .chain(st.staged.keys())
-            .filter(|id| id.ns == ns && id.array == array)
-            .map(|id| id.block)
-            .collect();
-        v.sort_unstable();
-        v.dedup();
-        v
+        let from = BlockId { ns, array, block: 0 };
+        let to = BlockId { ns, array, block: u64::MAX };
+        self.lock().entries.range(from..=to).map(|(id, _)| id.block).collect()
+    }
+}
+
+impl Drop for FileDevice {
+    fn drop(&mut self) {
+        // Unsynced appends reach the file as a page cache would leave
+        // them; the next open truncates them as the uncommitted tail.
+        let mut st = self.lock();
+        let _ = self.flush(&mut st);
     }
 }
 
@@ -799,9 +888,11 @@ impl BlockDevice for FileDevice {
 /// Physical traffic observed by a [`DeviceLedger`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeviceCounts {
-    /// `read` calls (each is exactly one `pread` on [`FileDevice`]).
+    /// `read` calls: one per block read. [`FileDevice`] serves blocks
+    /// still in its append buffer without a `pread`.
     pub preads: u64,
-    /// `write` calls (each is exactly one `pwrite` on [`FileDevice`]).
+    /// `write` calls: one per block image. [`FileDevice`] buffers appends,
+    /// so this counts device writes, not write syscalls.
     pub pwrites: u64,
     /// `sync` calls.
     pub syncs: u64,
@@ -1009,6 +1100,191 @@ mod tests {
         // CRC-64/XZ check value for "123456789".
         assert_eq!(crc64(b"123456789"), 0x995D_C9BB_DF19_39FA);
         assert_eq!(crc64(b""), 0);
+    }
+
+    /// The plain one-byte-at-a-time CRC-64 loop: the reference the sliced
+    /// implementation must reproduce bit for bit.
+    fn crc64_bytewise(bytes: &[u8]) -> u64 {
+        let mut crc = !0u64;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC64_TABLES[0][((crc ^ u64::from(b)) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    /// The 24-byte little-endian address a payload CRC mixes in.
+    fn address_bytes(id: BlockId) -> Vec<u8> {
+        [id.ns, id.array, id.block].iter().flat_map(|x| x.to_le_bytes()).collect()
+    }
+
+    #[test]
+    fn sliced_crc64_matches_bytewise() {
+        let data: Vec<u8> = (0..138u32).map(|i| (i.wrapping_mul(0x9E37_79B9) >> 13) as u8).collect();
+        for off in 0..8 {
+            for len in 0..=130 {
+                let s = &data[off..off + len];
+                assert_eq!(crc64(s), crc64_bytewise(s), "offset {off}, length {len}");
+            }
+        }
+        let block = id(0x0123_4567_89AB_CDEF, 42, 7);
+        for len in [0, 1, 7, 8, 9, 43, 130] {
+            let mut whole = address_bytes(block);
+            whole.extend_from_slice(&data[..len]);
+            assert_eq!(payload_crc(block, &data[..len]), crc64_bytewise(&whole), "length {len}");
+        }
+    }
+
+    #[test]
+    fn catalog_count_that_wraps_is_corrupt() {
+        // 32 + (1 + 2^62) * 44 wraps to 76, the length of a one-entry
+        // catalog, so an unchecked length test would accept the count.
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(CATALOG_MAGIC);
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        bytes.extend_from_slice(&(1u64 + (1 << 62)).to_le_bytes());
+        bytes.extend_from_slice(&[0u8; 44]);
+        let footer = crc64(&bytes);
+        bytes.extend_from_slice(&footer.to_le_bytes());
+        assert_eq!(bytes.len(), 76);
+        assert_eq!(parse_catalog(&bytes).err(), Some(catalog_corrupt()));
+        let dir = tmp_dir("wrapcount");
+        fs::create_dir_all(&dir).expect("mkdir");
+        fs::write(dir.join(CATALOG_NAME), &bytes).expect("write catalog");
+        let err = FileDevice::open(&dir).expect_err("crafted catalog");
+        assert_eq!(err, catalog_corrupt());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn catalog_bytes_are_sorted_entries_under_a_crc_footer() {
+        let dir = tmp_dir("catbytes");
+        let writes: [(BlockId, &[u8]); 6] = [
+            (id(3, 1, 0), b"c"),
+            (id(1, 9, 4), b"alpha"),
+            (id(1, 2, 7), b""),
+            (id(NAMED_NS, 0, 1), b"named"),
+            (id(1, 9, 4), b"alpha-v2"),
+            (id(1, 9, 3), b"beta"),
+        ];
+        {
+            let dev = FileDevice::open(&dir).expect("open");
+            for (i, (block, payload)) in writes.iter().enumerate() {
+                dev.write(*block, payload).expect("write");
+                if i == 2 {
+                    dev.sync().expect("sync");
+                }
+            }
+            dev.sync().expect("sync");
+        }
+        // Appends are laid out in write order; the latest write of a block
+        // is the one cataloged, and entries are sorted by address.
+        let mut latest = BTreeMap::new();
+        let mut offset = 0u64;
+        for (block, payload) in writes {
+            latest.insert(block, (offset, payload));
+            offset += payload.len() as u64;
+        }
+        let mut expect = Vec::new();
+        expect.extend_from_slice(b"EMCATv01");
+        expect.extend_from_slice(&2u64.to_le_bytes());
+        expect.extend_from_slice(&(latest.len() as u64).to_le_bytes());
+        for (block, (offset, payload)) in &latest {
+            let mut whole = address_bytes(*block);
+            whole.extend_from_slice(payload);
+            expect.extend_from_slice(&whole[..24]);
+            expect.extend_from_slice(&offset.to_le_bytes());
+            expect.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            expect.extend_from_slice(&crc64_bytewise(&whole).to_le_bytes());
+        }
+        let footer = crc64_bytewise(&expect);
+        expect.extend_from_slice(&footer.to_le_bytes());
+        assert_eq!(fs::read(dir.join(CATALOG_NAME)).expect("catalog"), expect);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A recognisable payload of `len` bytes for `block` at `version`.
+    fn image(block: u64, version: u64, len: usize) -> Vec<u8> {
+        (0..len as u64).map(|i| (block * 31 + i * 7 + version * 101) as u8).collect()
+    }
+
+    /// Payload lengths vary so flushes fall at many different points.
+    fn image_len(block: u64) -> usize {
+        700 + (block as usize * 37) % 600
+    }
+
+    #[test]
+    fn append_buffer_flush_boundaries() {
+        let dir = tmp_dir("flush");
+        let data_len = || fs::metadata(dir.join(DATA_NAME)).expect("stat").len();
+        let dev = FileDevice::open(&dir).expect("open");
+        let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        let mut written = 0usize;
+        let mut synced_blocks = 0u64;
+        while written <= 2 * APPEND_BUF_BYTES {
+            let payload = image(synced_blocks, 0, image_len(synced_blocks));
+            dev.write(id(5, 1, synced_blocks), &payload).expect("write");
+            written += payload.len();
+            model.insert(synced_blocks, payload);
+            synced_blocks += 1;
+        }
+        // A flush writes at most a buffer's worth, so more than that in the
+        // file means at least two flushes; some bytes are still buffered.
+        let flushed = data_len();
+        assert!(flushed > APPEND_BUF_BYTES as u64, "{flushed}");
+        assert!(flushed < written as u64, "{flushed} of {written}");
+        let check = |model: &BTreeMap<u64, Vec<u8>>| {
+            for (&b, payload) in model {
+                assert_eq!(dev.read(id(5, 1, b)).expect("read").as_ref(), Some(payload), "block {b}");
+            }
+            assert_eq!(dev.len(), model.len() as u64);
+        };
+        check(&model);
+        dev.sync().expect("sync");
+        assert_eq!(data_len(), written as u64, "sync flushes the buffer");
+        check(&model);
+        let synced = model.clone();
+
+        // Overwrite flushed blocks and append new ones past another flush.
+        let mut unsynced = 0u64;
+        for b in (0..synced_blocks).step_by(7) {
+            let payload = image(b, 1, image_len(b + 3));
+            dev.write(id(5, 1, b), &payload).expect("overwrite");
+            unsynced += payload.len() as u64;
+            model.insert(b, payload);
+        }
+        let mut b = synced_blocks;
+        while unsynced <= APPEND_BUF_BYTES as u64 + 4096 {
+            let payload = image(b, 0, image_len(b));
+            dev.write(id(5, 1, b), &payload).expect("write");
+            unsynced += payload.len() as u64;
+            model.insert(b, payload);
+            b += 1;
+        }
+        check(&model);
+
+        // A crash keeps exactly the synced blocks.
+        dev.crash();
+        assert_eq!(dev.recovery().truncated_bytes, unsynced);
+        check(&synced);
+
+        // Unsynced writes left at drop are truncated by the next open.
+        let mut dropped = 0u64;
+        for b in 0..40 {
+            let payload = image(b, 2, image_len(b));
+            dev.write(id(5, 2, b), &payload).expect("write");
+            dropped += payload.len() as u64;
+        }
+        drop(dev);
+        assert_eq!(data_len(), written as u64 + dropped);
+        let dev = FileDevice::open(&dir).expect("reopen");
+        assert_eq!(dev.recovery().truncated_bytes, dropped);
+        assert_eq!(dev.recovery().committed_blocks, synced.len() as u64);
+        for (&b, payload) in &synced {
+            assert_eq!(dev.read(id(5, 1, b)).expect("read").as_ref(), Some(payload), "block {b}");
+        }
+        assert!(dev.blocks_of(5, 2).is_empty());
+        drop(dev);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
