@@ -11,16 +11,42 @@ use crate::device::{self, BlockId};
 use crate::error::EmError;
 use crate::fault::{self, Retrier};
 
-/// The checksum stored alongside block `block` of array `seed_id` when it
-/// holds `items` items. The sentinel is a pure function of the block's
-/// address (the payload itself lives in a native `Vec`, which the simulator
-/// never physically scrambles); an injected corruption XORs a nonzero mask
-/// into the value read back, so verification fails exactly on the blocks
-/// the [`crate::FaultPlan`] corrupted. `seed_id` is the array id for
-/// anonymous arrays and the stable name hash for named ones, so a named
-/// array's sentinels survive reopening under a fresh array id.
-fn block_checksum(seed_id: u64, block: u64, items: u64) -> u64 {
+/// The sentinel of block `block` of array `seed_id` when it holds `items`
+/// items, as written into the block's header image. It is a pure function
+/// of the block's address, so nothing stores it: the header mirror and
+/// `new_named` compute it on write, and `open_named` recomputes it to
+/// validate what it reads back. `seed_id` is the array id for anonymous
+/// arrays and the stable name hash for named ones, so a named array's
+/// sentinels survive reopening under a fresh array id.
+pub(crate) fn block_checksum(seed_id: u64, block: u64, items: u64) -> u64 {
     fault::mix(fault::mix(seed_id ^ 0xC0DE_C0DE) ^ fault::mix(block) ^ items)
+}
+
+/// Mirror the header image of every block of a `len`-item array laid out
+/// `per_block` items per block: one best-effort, unmetered device write per
+/// block, in block order, under `array_id`, with the sentinel of
+/// `(seed_id, block, items)`. Header-only images carry no payload, so they
+/// are the same bytes under every codec.
+pub(crate) fn mirror_headers(
+    model: &CostModel,
+    array_id: u64,
+    seed_id: u64,
+    len: usize,
+    per_block: usize,
+) {
+    for (b, lo) in (0..len).step_by(per_block).enumerate() {
+        let b = b as u64;
+        let items = (len - lo).min(per_block) as u32;
+        let header = encode_header(
+            KIND_HEADER,
+            seed_id,
+            b,
+            items,
+            per_block as u32,
+            block_checksum(seed_id, b, u64::from(items)),
+        );
+        model.device_write(array_id, b, &header);
+    }
 }
 
 /// Magic of a mirrored block-header image on the device (`"EMB1"`).
@@ -34,22 +60,22 @@ const KIND_PAYLOAD: u32 = 1;
 /// Bytes in the fixed header.
 const HEADER_LEN: usize = 40;
 
-pub(crate) fn encode_header(
+fn encode_header(
     kind: u32,
     seed_id: u64,
     block: u64,
     items: u32,
     per_block: u32,
     checksum: u64,
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN);
-    out.extend_from_slice(&HEADER_MAGIC.to_le_bytes());
-    out.extend_from_slice(&kind.to_le_bytes());
-    out.extend_from_slice(&seed_id.to_le_bytes());
-    out.extend_from_slice(&block.to_le_bytes());
-    out.extend_from_slice(&items.to_le_bytes());
-    out.extend_from_slice(&per_block.to_le_bytes());
-    out.extend_from_slice(&checksum.to_le_bytes());
+) -> [u8; HEADER_LEN] {
+    let mut out = [0u8; HEADER_LEN];
+    out[0..4].copy_from_slice(&HEADER_MAGIC.to_le_bytes());
+    out[4..8].copy_from_slice(&kind.to_le_bytes());
+    out[8..16].copy_from_slice(&seed_id.to_le_bytes());
+    out[16..24].copy_from_slice(&block.to_le_bytes());
+    out[24..28].copy_from_slice(&items.to_le_bytes());
+    out[28..32].copy_from_slice(&per_block.to_le_bytes());
+    out[32..40].copy_from_slice(&checksum.to_le_bytes());
     out
 }
 
@@ -79,9 +105,9 @@ fn split_kind(kind: u32) -> (u32, u8) {
 /// of the header's kind word so the image is self-describing — a store
 /// written under one `EMSIM_CODEC` opens correctly under any other. The
 /// header itself always stays raw (recovery must parse it before knowing
-/// any codec), and header-only images (`payload` empty — anonymous-array
-/// and B-tree mirrors) skip the codec entirely: tag 0, byte-identical to
-/// the pre-codec format. Device-level CRCs are computed over the image as
+/// any codec), and header-only images (`payload` empty, like the header
+/// mirrors) skip the codec entirely: tag 0, byte-identical to the
+/// pre-codec format. Device-level CRCs are computed over the image as
 /// written, so torn-write detection covers compressed payloads for free.
 #[allow(clippy::too_many_arguments)] // mirrors encode_header's field list + codec/payload
 pub(crate) fn encode_image(
@@ -95,10 +121,10 @@ pub(crate) fn encode_image(
     payload: &[u8],
 ) -> Vec<u8> {
     if payload.is_empty() {
-        return encode_header(kind, seed_id, block, items, per_block, checksum);
+        return encode_header(kind, seed_id, block, items, per_block, checksum).to_vec();
     }
     let kind = kind | (u32::from(codec.tag()) << 8);
-    let mut image = encode_header(kind, seed_id, block, items, per_block, checksum);
+    let mut image = encode_header(kind, seed_id, block, items, per_block, checksum).to_vec();
     image.extend_from_slice(&codec.encode(payload));
     image
 }
@@ -169,18 +195,15 @@ fn name_id(name: &str) -> u64 {
 
 /// A typed array stored in blocks of the simulated disk.
 ///
-/// Every block carries a checksum written at construction time; the `try_*`
-/// accessors re-verify it after each successful read, so silent corruption
-/// injected by the meter's [`crate::FaultPlan`] surfaces as
-/// [`EmError::Corrupt`] instead of wrong answers.
+/// The `try_*` accessors verify every block after each successful read, so
+/// silent corruption injected by the meter's [`crate::FaultPlan`] surfaces
+/// as [`EmError::Corrupt`] instead of wrong answers.
 #[derive(Debug)]
 pub struct BlockArray<T> {
     data: Vec<T>,
     per_block: usize,
     array_id: u64,
     model: CostModel,
-    /// Per-block checksums, written when the array is laid out.
-    checksums: Vec<u64>,
 }
 
 impl<T> BlockArray<T> {
@@ -190,43 +213,19 @@ impl<T> BlockArray<T> {
         BlockArray::with_seed(model, data, array_id, array_id)
     }
 
-    /// The shared layout path: charge the writes, compute sentinel
-    /// checksums under `seed_id`, and mirror each block's header image to
-    /// the device (best-effort and unmetered — the mirror is a shadow of
-    /// the logical write, verified by the `try_*` read path, never a cost).
+    /// The shared layout path: charge the writes and mirror each block's
+    /// header image, sentinel seeded by `seed_id`, to the device
+    /// (best-effort and unmetered — the mirror is a shadow of the logical
+    /// write, never a cost).
     fn with_seed(model: &CostModel, data: Vec<T>, array_id: u64, seed_id: u64) -> Self {
         let per_block = model.config().items_per_block::<T>();
-        let blocks = data.len().div_ceil(per_block);
-        model.charge_writes(blocks as u64);
-        let checksums: Vec<u64> = (0..blocks as u64)
-            .map(|b| {
-                let lo = b as usize * per_block;
-                let items = (data.len() - lo).min(per_block) as u64;
-                block_checksum(seed_id, b, items)
-            })
-            .collect();
-        let codec = crate::codec::active_codec();
-        for b in 0..blocks as u64 {
-            let lo = b as usize * per_block;
-            let items = (data.len() - lo).min(per_block) as u32;
-            let header = encode_image(
-                codec,
-                KIND_HEADER,
-                seed_id,
-                b,
-                items,
-                per_block as u32,
-                checksums[b as usize],
-                &[],
-            );
-            model.device_write(array_id, b, &header);
-        }
+        model.charge_writes(data.len().div_ceil(per_block) as u64);
+        mirror_headers(model, array_id, seed_id, data.len(), per_block);
         BlockArray {
             data,
             per_block,
             array_id,
             model: model.clone(),
-            checksums,
         }
     }
 
@@ -324,18 +323,14 @@ impl<T> BlockArray<T> {
         &self.data
     }
 
-    /// Verify block `block`'s checksum against what the device reads back.
-    /// A mismatch (silent corruption injected by the meter's fault plan) is
-    /// recorded on the meter and surfaced as [`EmError::Corrupt`].
+    /// Verify block `block` against what the device reads back. A block the
+    /// meter's fault plan corrupted reads back a scrambled sentinel (the
+    /// plan's corruption mask is never zero), so the check is exactly the
+    /// plan's verdict: a corrupted block is recorded on the meter and
+    /// surfaced as [`EmError::Corrupt`].
     pub fn verify(&self, block: u64) -> Result<(), EmError> {
-        let stored = self.checksums[block as usize];
-        let plan = self.model.fault_plan();
-        let read_back = if plan.is_corrupted(self.array_id, block) {
-            stored ^ plan.corruption_mask(self.array_id, block)
-        } else {
-            stored
-        };
-        if read_back != stored {
+        assert!(block < self.blocks(), "block {block} out of range");
+        if self.model.fault_plan().is_corrupted(self.array_id, block) {
             self.model.record_fault();
             return Err(EmError::Corrupt {
                 array_id: self.array_id,
@@ -347,7 +342,7 @@ impl<T> BlockArray<T> {
 
     /// Read one block fallibly: retry transient faults under `retrier`
     /// (each attempt charges one read I/O on a pool miss), then verify the
-    /// checksum.
+    /// block.
     fn try_read_block(&self, block: u64, retrier: &Retrier) -> Result<(), EmError> {
         retrier.run(|attempt| self.model.try_fetch(self.array_id, block, attempt))?;
         self.verify(block)
@@ -460,7 +455,7 @@ impl<T: Persist> BlockArray<T> {
                 b,
                 items,
                 arr.per_block as u32,
-                arr.checksums[b as usize],
+                block_checksum(seed, b, u64::from(items)),
                 &payload,
             );
             dev.write(BlockId { ns: device::NAMED_NS, array: seed, block: b }, &image)?;
@@ -524,38 +519,15 @@ impl<T: Persist> BlockArray<T> {
         }
         let per_block = per_block.unwrap_or_else(|| model.config().items_per_block::<T>());
         let array_id = model.new_array_id();
-        let checksums = (0..blocks.len() as u64)
-            .map(|b| {
-                let lo = b as usize * per_block;
-                let items = (data.len() - lo).min(per_block) as u64;
-                block_checksum(seed, b, items)
-            })
-            .collect();
+        // Re-mirror header images under this meter's namespace so the
+        // `try_*` read path verifies the reopened array like any other.
+        mirror_headers(model, array_id, seed, data.len(), per_block);
         let arr = BlockArray {
             data,
             per_block,
             array_id,
             model: model.clone(),
-            checksums,
         };
-        // Re-mirror header images under this meter's namespace so the
-        // `try_*` read path verifies the reopened array like any other.
-        let mirror_codec = crate::codec::active_codec();
-        for (b, sum) in arr.checksums.iter().enumerate() {
-            let lo = b * per_block;
-            let items = (arr.data.len() - lo).min(per_block) as u32;
-            let header = encode_image(
-                mirror_codec,
-                KIND_HEADER,
-                seed,
-                b as u64,
-                items,
-                per_block as u32,
-                *sum,
-                &[],
-            );
-            model.device_write(array_id, b as u64, &header);
-        }
         Ok(arr)
     }
 }
@@ -728,7 +700,7 @@ mod tests {
         assert_eq!(m.report().faults, 1);
         assert!(a.try_scan_range(0, 64, &r, |_| ()).is_err());
         // The infallible path still reads "successfully" — corruption is
-        // silent by definition and only checksums catch it.
+        // silent by definition and only verification catches it.
         assert_eq!(*a.get(5), 5);
     }
 

@@ -13,11 +13,10 @@ use crate::cost::CostModel;
 use crate::error::EmError;
 use crate::fault::{self, Retrier};
 
-/// The checksum stored alongside node `node` of tree `array_id` — the same
-/// address-derived sentinel scheme as [`crate::BlockArray`] (see
-/// `block::block_checksum`): corruption injected by the fault plan XORs a
-/// nonzero mask into the value read back, so verification fails exactly on
-/// the nodes the plan corrupted.
+/// The sentinel of node `node` of tree `array_id`, as written into the
+/// node's header image — the same address-derived scheme as
+/// [`crate::BlockArray`] (see `block::block_checksum`). A pure function,
+/// so nothing stores it; the header mirror computes it on write.
 fn node_checksum(array_id: u64, node: u64) -> u64 {
     fault::mix(fault::mix(array_id ^ 0xB7EE_B7EE) ^ fault::mix(node))
 }
@@ -52,9 +51,6 @@ pub struct BTree<K, V> {
     array_id: u64,
     model: CostModel,
     free: Vec<usize>,
-    /// Per-node checksums (indexed like `nodes`), written on allocation;
-    /// the `try_*` accessors re-verify them after every successful read.
-    checksums: Vec<u64>,
 }
 
 impl<K: Ord + Clone, V: Clone> BTree<K, V> {
@@ -83,7 +79,6 @@ impl<K: Ord + Clone, V: Clone> BTree<K, V> {
             array_id,
             model: model.clone(),
             free: Vec::new(),
-            checksums: vec![node_checksum(array_id, 0)],
         };
         tree.mirror_node(0);
         tree
@@ -214,12 +209,6 @@ impl<K: Ord + Clone, V: Clone> BTree<K, V> {
             self.nodes.push(node);
             self.nodes.len() - 1
         };
-        let sum = node_checksum(self.array_id, id as u64);
-        if id < self.checksums.len() {
-            self.checksums[id] = sum;
-        } else {
-            self.checksums.push(sum);
-        }
         self.mirror_node(id);
         id
     }
@@ -240,7 +229,7 @@ impl<K: Ord + Clone, V: Clone> BTree<K, V> {
             id as u64,
             0,
             self.fanout as u32,
-            self.checksums[id],
+            node_checksum(self.array_id, id as u64),
             &[],
         );
         self.model.device_write(self.array_id, id as u64, &image);
@@ -573,18 +562,14 @@ impl<K: Ord + Clone, V: Clone> BTree<K, V> {
         }
     }
 
-    /// Verify node `node`'s checksum against what the device reads back.
-    /// A mismatch (silent corruption injected by the meter's fault plan) is
-    /// recorded on the meter and surfaced as [`EmError::Corrupt`].
+    /// Verify node `node` against what the device reads back. A node the
+    /// meter's fault plan corrupted reads back a scrambled sentinel (the
+    /// plan's corruption mask is never zero), so the check is exactly the
+    /// plan's verdict: a corrupted node is recorded on the meter and
+    /// surfaced as [`EmError::Corrupt`].
     pub fn verify(&self, node: u64) -> Result<(), EmError> {
-        let stored = self.checksums[node as usize];
-        let plan = self.model.fault_plan();
-        let read_back = if plan.is_corrupted(self.array_id, node) {
-            stored ^ plan.corruption_mask(self.array_id, node)
-        } else {
-            stored
-        };
-        if read_back != stored {
+        assert!(node < self.nodes.len() as u64, "node {node} out of range");
+        if self.model.fault_plan().is_corrupted(self.array_id, node) {
             self.model.record_fault();
             return Err(EmError::Corrupt {
                 array_id: self.array_id,
@@ -595,7 +580,7 @@ impl<K: Ord + Clone, V: Clone> BTree<K, V> {
     }
 
     /// Read one node fallibly: retry transient faults under `retrier`, then
-    /// verify the node checksum.
+    /// verify the node.
     fn try_touch_node(&self, node: usize, retrier: &Retrier) -> Result<(), EmError> {
         retrier.run(|attempt| self.model.try_fetch(self.array_id, node as u64, attempt))?;
         self.verify(node as u64)

@@ -626,7 +626,15 @@ impl CostModel {
     /// [`crate::BlockArray`], a tree's node arena, …) — used as the high
     /// bits of buffer-pool keys so distinct structures never collide.
     pub fn new_array_id(&self) -> u64 {
-        self.inner.next_array_id.fetch_add(1, Relaxed)
+        self.new_array_ids(1)
+    }
+
+    /// Reserve `n` consecutive array ids in one step and return the first:
+    /// the ids `first..first + n` are exactly what `n` calls of
+    /// [`CostModel::new_array_id`] would have returned (used by
+    /// [`crate::RunArena`], whose run `r` is array id `first + r`).
+    pub fn new_array_ids(&self, n: u64) -> u64 {
+        self.inner.next_array_id.fetch_add(n, Relaxed)
     }
 
     /// An isolated child meter (same machine parameters, fresh counters and

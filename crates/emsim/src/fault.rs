@@ -2,7 +2,7 @@
 //!
 //! A [`FaultPlan`] decides, per `(array_id, block, attempt)` triple, whether
 //! a block read succeeds, fails transiently, hits a permanently bad block,
-//! or returns silently corrupted data (caught by the per-block checksums of
+//! or returns silently corrupted data (caught by the block verification of
 //! [`crate::BlockArray`] / [`crate::BTree`]). The decisions are pure
 //! functions of the plan's seed — the same RNG discipline as the parallel
 //! experiment harness — so a fault sweep is reproducible at any thread
@@ -262,12 +262,6 @@ impl FaultPlan {
             && unit(self.hash(SALT_CORRUPT, array_id, block, 0)) < self.corrupt
     }
 
-    /// A nonzero mask `XORed` into a corrupted block's stored checksum to
-    /// model the scrambled payload a real device would return.
-    pub fn corruption_mask(&self, array_id: u64, block: u64) -> u64 {
-        self.hash(SALT_CORRUPT ^ 0xFF, array_id, block, 0) | 1
-    }
-
     /// The outcome of disk-read `attempt` (0-based) on a block: `Ok(())` if
     /// the device returned data, or the injected failure. Corruption is
     /// *not* reported here — it is silent by definition and only surfaces
@@ -484,7 +478,6 @@ mod tests {
                 // Silent: the read itself succeeds (unless transient).
                 assert_eq!(p.read_outcome(4, b, 0), Ok(()));
                 assert!(!p.is_bad_block(4, b));
-                assert_ne!(p.corruption_mask(4, b), 0);
             }
         }
         assert!(corrupted > 100, "corrupted = {corrupted}");

@@ -17,6 +17,9 @@
 //!   exact LRU by default; [`PoolPolicy::ShardedClock`] swaps in a
 //!   [`ShardedPool`] (per-shard locks, CLOCK eviction) for meters shared by
 //!   many query threads.
+//! * [`RunArena`] — many short block runs (one per segment-tree node, say)
+//!   in one allocation over one reserved range of array ids, metered and
+//!   mirrored exactly like one [`BlockArray`] per run.
 //! * [`BTree`] — an external B-tree (fanout `Θ(B)`) with search, range
 //!   reporting, insert and delete, charging one I/O per node visited.
 //! * [`select`] — EM k-selection (`O(n/B)` I/Os expected), the primitive the
@@ -55,6 +58,7 @@
 //! whose AVX2 intrinsics require it (each use is behind a runtime CPU
 //! feature check).
 
+pub mod arena;
 pub mod block;
 pub mod btree;
 pub mod codec;
@@ -70,6 +74,7 @@ pub mod sort;
 pub(crate) mod sync;
 pub mod trace;
 
+pub use arena::RunArena;
 pub use block::{BlockArray, Persist};
 pub use btree::BTree;
 pub use codec::{ambient_codec, with_codec, BlockCodec, DeltaVByte, Raw, VByte};

@@ -27,7 +27,7 @@ pub use cascade::{CascadeStabMax, CascadeStabMaxBuilder};
 use emsim::CostModel;
 use geom::Point2;
 use interval::{HasInterval, SegStabG, StaticStabMaxG};
-use structures::segtree::{SegTreeOfSets, Summary};
+use structures::segtree::SegTree;
 use topk_core::{
     log_b, Element, ExpectedTopK, MaxBuilder, MaxIndex, PrioritizedBuilder, PrioritizedIndex,
     Theorem1Params, Theorem2Params, TopKIndex, Weight, WorstCaseTopK,
@@ -85,39 +85,32 @@ impl HasInterval for Rect {
 /// (x-slab, y-slab) pair, so ≤ (2n+1)² ≤ n³ for n ≥ 5 → `λ = 3`.
 pub const LAMBDA: f64 = 3.0;
 
-/// Inner prioritized y-structure wrapper (a segment-tree node summary).
-pub struct YPri(SegStabG<Rect>);
-
-impl Summary for YPri {
-    fn space_blocks(&self) -> u64 {
-        PrioritizedIndex::<Rect, f64>::space_blocks(&self.0).max(1)
-    }
-}
-
 /// Prioritized point enclosure. See the crate docs.
 pub struct EncPri {
-    tree: SegTreeOfSets<YPri>,
+    tree: SegTree,
+    /// Slot `k`'s y-structure.
+    inner: Vec<SegStabG<Rect>>,
 }
 
 impl EncPri {
     /// Build over the given rectangles.
     pub fn build(model: &CostModel, items: Vec<Rect>) -> Self {
-        let tree = SegTreeOfSets::build(
+        let (tree, inner) = SegTree::build(
             model,
             &items,
             |r| (r.x1, r.x2),
-            |m, bucket| YPri(SegStabG::build(m, bucket)),
+            |m, groups| groups.into_vecs().map(|g| SegStabG::build(m, g)).collect(),
         );
-        EncPri { tree }
+        EncPri { tree, inner }
     }
 }
 
 impl PrioritizedIndex<Rect, Point2> for EncPri {
     fn for_each_at_least(&self, q: &Point2, tau: Weight, visit: &mut dyn FnMut(&Rect) -> bool) {
         let y = q.y;
-        self.tree.for_each_on_path(q.x, &mut |inner| {
+        self.tree.for_each_on_path(q.x, &mut |slot| {
             let mut keep_going = true;
-            inner.0.for_each_at_least(&y, tau, &mut |r| {
+            self.inner[slot].for_each_at_least(&y, tau, &mut |r| {
                 if !visit(r) {
                     keep_going = false;
                     return false;
@@ -129,7 +122,8 @@ impl PrioritizedIndex<Rect, Point2> for EncPri {
     }
 
     fn space_blocks(&self) -> u64 {
-        self.tree.space_blocks()
+        let inner = self.inner.iter().map(|s| PrioritizedIndex::space_blocks(s).max(1));
+        self.tree.space_blocks() + inner.sum::<u64>()
     }
 
     fn len(&self) -> usize {
@@ -152,40 +146,31 @@ impl PrioritizedBuilder<Rect, Point2> for EncPriBuilder {
     }
 }
 
-/// Inner stabbing-max y-structure wrapper.
-pub struct YMax(StaticStabMaxG<Rect>);
-
-impl Summary for YMax {
-    fn space_blocks(&self) -> u64 {
-        MaxIndex::<Rect, f64>::space_blocks(&self.0).max(1)
-    }
-}
-
 /// Point-enclosure max (2D stabbing max, §5.2). See the crate docs.
 pub struct EncMax {
-    tree: SegTreeOfSets<YMax>,
-    len: usize,
+    tree: SegTree,
+    /// Slot `k`'s y-structure.
+    inner: Vec<StaticStabMaxG<Rect>>,
 }
 
 impl EncMax {
     /// Build over the given rectangles.
     pub fn build(model: &CostModel, items: Vec<Rect>) -> Self {
-        let len = items.len();
-        let tree = SegTreeOfSets::build(
+        let (tree, inner) = SegTree::build(
             model,
             &items,
             |r| (r.x1, r.x2),
-            |m, bucket| YMax(StaticStabMaxG::build(m, bucket)),
+            |m, groups| groups.into_vecs().map(|g| StaticStabMaxG::build(m, g)).collect(),
         );
-        EncMax { tree, len }
+        EncMax { tree, inner }
     }
 }
 
 impl MaxIndex<Rect, Point2> for EncMax {
     fn query_max(&self, q: &Point2) -> Option<Rect> {
         let mut best: Option<Rect> = None;
-        self.tree.for_each_on_path(q.x, &mut |inner| {
-            if let Some(r) = inner.0.query_max(&q.y) {
+        self.tree.for_each_on_path(q.x, &mut |slot| {
+            if let Some(r) = self.inner[slot].query_max(&q.y) {
                 if best.is_none_or(|b| r.weight > b.weight) {
                     best = Some(r);
                 }
@@ -196,11 +181,12 @@ impl MaxIndex<Rect, Point2> for EncMax {
     }
 
     fn space_blocks(&self) -> u64 {
-        self.tree.space_blocks()
+        let inner = self.inner.iter().map(|s| MaxIndex::space_blocks(s).max(1));
+        self.tree.space_blocks() + inner.sum::<u64>()
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.tree.len()
     }
 }
 

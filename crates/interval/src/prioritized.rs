@@ -1,9 +1,10 @@
 //! Prioritized interval stabbing: two interchangeable structures.
 //!
 //! * [`SegStab`] — segment tree whose canonical nodes hold their intervals
-//!   in weight-descending block runs. Query: walk the `O(log n)` path
-//!   nodes, scan each run down to `τ` (every run item stabs `q` by the
-//!   canonical decomposition). `O(n log n)` space, `O(log n + t/B)` query.
+//!   in weight-descending block runs, all in one [`RunArena`]. Query: walk
+//!   the `O(log n)` path nodes, scan each run down to `τ` (every run item
+//!   stabs `q` by the canonical decomposition). `O(n log n)` space,
+//!   `O(log n + t/B)` query.
 //! * [`PstStab`] — classic interval tree (median of endpoints); each node
 //!   stores the intervals containing its center in **two priority search
 //!   trees** (by left endpoint and by right endpoint). Query: descend the
@@ -12,30 +13,20 @@
 //!   query `lo ≤ q ∧ w ≥ τ` (symmetrically for `q > c`). Linear space,
 //!   `O(log² n + t)` query.
 
-use emsim::{BlockArray, CostModel};
+use emsim::{CostModel, RunArena};
 use geom::OrderedF64;
-use structures::segtree::{SegTreeOfSets, Summary};
+use structures::segtree::SegTree;
 use structures::PrioritySearchTree;
 use topk_core::{log_b, PrioritizedBuilder, PrioritizedIndex, Weight};
 
 use crate::{HasInterval, Interval};
 
-/// A weight-descending run of elements in blocks (a segment-tree node
-/// summary).
-pub struct WeightRun<E> {
-    arr: BlockArray<E>,
-}
-
-impl<E> Summary for WeightRun<E> {
-    fn space_blocks(&self) -> u64 {
-        self.arr.blocks().max(1)
-    }
-}
-
 /// Segment-tree prioritized stabbing structure, generic over the element
 /// type. See the module docs.
 pub struct SegStabG<E> {
-    tree: SegTreeOfSets<WeightRun<E>>,
+    tree: SegTree,
+    /// Slot `k`'s canonical node holds run `k`, weight-descending.
+    runs: RunArena<E>,
 }
 
 /// [`SegStabG`] over plain [`Interval`]s.
@@ -43,19 +34,20 @@ pub type SegStab = SegStabG<Interval>;
 
 impl<E: HasInterval> SegStabG<E> {
     /// Build over the given elements.
-    pub fn build(model: &CostModel, items: Vec<E>) -> Self {
-        let tree = SegTreeOfSets::build(
+    pub fn build(model: &CostModel, mut items: Vec<E>) -> Self {
+        // Grouping keeps input order within a node, so one stable sort up
+        // front leaves every node's run weight-descending.
+        items.sort_by_key(|e| std::cmp::Reverse(e.weight()));
+        let (tree, runs) = SegTree::build(
             model,
             &items,
             |e| (e.ilo(), e.ihi()),
-            |m, mut bucket| {
-                bucket.sort_by_key(|e| std::cmp::Reverse(e.weight()));
-                WeightRun {
-                    arr: BlockArray::new(m, bucket),
-                }
+            |m, groups| {
+                let (items, lens) = groups.into_parts();
+                RunArena::new(m, items, lens)
             },
         );
-        SegStabG { tree }
+        SegStabG { tree, runs }
     }
 }
 
@@ -63,7 +55,7 @@ impl<E: HasInterval> PrioritizedIndex<E, f64> for SegStabG<E> {
     fn for_each_at_least(&self, q: &f64, tau: Weight, visit: &mut dyn FnMut(&E) -> bool) {
         self.tree.for_each_on_path(*q, &mut |run| {
             let mut keep_going = true;
-            run.arr.scan_while(0, run.arr.len(), |e| {
+            self.runs.scan_while(run, |e| {
                 if e.weight() < tau {
                     return false;
                 }
@@ -78,7 +70,7 @@ impl<E: HasInterval> PrioritizedIndex<E, f64> for SegStabG<E> {
     }
 
     fn space_blocks(&self) -> u64 {
-        self.tree.space_blocks()
+        self.tree.space_blocks() + self.runs.space_blocks()
     }
 
     fn len(&self) -> usize {

@@ -4,95 +4,167 @@
 //! The classic tool behind §5.2's point-enclosure structures: each input
 //! interval is assigned to `O(log n)` canonical nodes; a stabbing query at
 //! `q` visits the `O(log n)` nodes on one root-to-leaf path and consults
-//! each node's summary. The summary type is caller-supplied, so the same
-//! tree serves as
+//! each node's summary. The summaries are the caller's, so the same tree
+//! serves as
 //!
-//! * a prioritized interval-stabbing structure (summary = elements sorted
-//!   by weight descending in blocks → `O(log n + t)` reporting), and
+//! * a prioritized interval-stabbing structure (summaries = one
+//!   weight-descending block run per node, all in one
+//!   [`emsim::RunArena`] → `O(log n + t)` reporting), and
 //! * the outer x-tree of the 2D point-enclosure structures (summary = an
-//!   inner 1D y-structure).
+//!   inner 1D y-structure per node).
 //!
 //! Elementary intervals are the points `xs[i]` and the open gaps between
 //! them (plus the two unbounded gaps), so closed input intervals and
 //! arbitrary real query points are handled exactly.
+//!
+//! Layout: the tree keeps only the sorted endpoints and, per heap node, a
+//! `u32` slot. Nodes with at least one interval get dense slots `0..s` in
+//! heap order; the caller stores summary `k` at index `k` of whatever
+//! container it likes. The build walks the canonical decomposition twice —
+//! once to count each node's intervals, once to fill one flat array grouped
+//! slot by slot — so no per-node `Vec` is ever allocated.
 
 use emsim::CostModel;
 
-/// A summary structure stored at a canonical node.
-pub trait Summary {
-    /// Space in blocks.
-    fn space_blocks(&self) -> u64;
+/// The slot of a heap node no interval is assigned to.
+const EMPTY: u32 = u32::MAX;
+
+/// The items of every non-empty canonical node, grouped slot by slot
+/// (heap order); within a group, items keep their input order.
+pub struct Groups<E> {
+    items: Vec<E>,
+    lens: Vec<usize>,
 }
 
-/// A segment tree whose canonical nodes carry summaries of type `S`.
-pub struct SegTreeOfSets<S> {
+impl<E> Groups<E> {
+    /// The flat item array and each group's length, in slot order.
+    pub fn into_parts(self) -> (Vec<E>, Vec<usize>) {
+        (self.items, self.lens)
+    }
+
+    /// Each group as its own `Vec`, in slot order.
+    pub fn into_vecs(self) -> impl Iterator<Item = Vec<E>> {
+        let mut items = self.items.into_iter();
+        self.lens
+            .into_iter()
+            .map(move |len| items.by_ref().take(len).collect())
+    }
+}
+
+/// A segment tree over interval endpoints whose non-empty canonical nodes
+/// are numbered by dense slots; see the module docs.
+pub struct SegTree {
     /// Sorted, deduplicated endpoint coordinates.
     xs: Vec<f64>,
-    /// Heap-shaped node arena over `2·xs.len() + 1` elementary leaves.
-    /// `nodes[u] = Some(summary)` iff at least one interval is assigned.
-    summaries: Vec<Option<S>>,
+    /// Heap-shaped over `n_leaves` leaves: `slot[u]` is node `u`'s dense
+    /// slot, or [`EMPTY`] when no interval is assigned to it.
+    slot: Vec<u32>,
     n_leaves: usize,
     len: usize,
     array_id: u64,
     model: CostModel,
 }
 
-impl<S: Summary> SegTreeOfSets<S> {
+impl SegTree {
     /// Build over `items`, where `range(item) = (lo, hi)` is a closed
-    /// interval with `lo ≤ hi`, and `make_summary` turns each canonical
-    /// node's assigned items into its summary.
-    pub fn build<E: Clone>(
+    /// interval with `lo ≤ hi`. `make` receives every non-empty canonical
+    /// node's items, grouped by slot, and returns the summaries (summary
+    /// `k` belongs to slot `k`). Summaries draw their array ids before the
+    /// tree draws its own.
+    pub fn build<E: Clone, S>(
         model: &CostModel,
         items: &[E],
         range: impl Fn(&E) -> (f64, f64),
-        mut make_summary: impl FnMut(&CostModel, Vec<E>) -> S,
-    ) -> Self {
+        make: impl FnOnce(&CostModel, Groups<E>) -> S,
+    ) -> (Self, S) {
+        assert!(
+            u32::try_from(items.len()).is_ok(),
+            "segment tree holds at most u32::MAX intervals"
+        );
         let mut xs: Vec<f64> = Vec::with_capacity(items.len() * 2);
         for e in items {
             let (lo, hi) = range(e);
-            assert!(lo.is_finite() && hi.is_finite() && lo <= hi, "bad interval [{lo}, {hi}]");
+            assert!(
+                lo.is_finite() && hi.is_finite() && lo <= hi,
+                "bad interval [{lo}, {hi}]"
+            );
             xs.push(lo);
             xs.push(hi);
         }
         xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
         xs.dedup();
 
-        let m = xs.len();
-        let n_leaves = (2 * m + 1).max(1);
-        // Heap layout sized to the next power of two.
-        let cap = n_leaves.next_power_of_two();
-        let mut buckets: Vec<Vec<E>> = (0..2 * cap).map(|_| Vec::new()).collect();
-
-        // Assign each interval to canonical nodes covering its elementary
-        // span [2·idx(lo)+1, 2·idx(hi)+1].
-        for e in items {
-            let (lo, hi) = range(e);
-            let a = 2 * lower_index(&xs, lo) + 1;
-            let b = 2 * lower_index(&xs, hi) + 1;
-            assign(&mut buckets, cap, a, b, e);
-        }
-
-        let summaries: Vec<Option<S>> = buckets
-            .into_iter()
-            .map(|bucket| {
-                if bucket.is_empty() {
-                    None
-                } else {
-                    Some(make_summary(model, bucket))
-                }
+        // Heap layout sized to the next power of two; each interval covers
+        // the elementary leaves [2·idx(lo)+1, 2·idx(hi)+1].
+        let n_leaves = (2 * xs.len() + 1).max(1).next_power_of_two();
+        let spans: Vec<(usize, usize)> = items
+            .iter()
+            .map(|e| {
+                let (lo, hi) = range(e);
+                (
+                    n_leaves + 2 * lower_index(&xs, lo) + 1,
+                    n_leaves + 2 * lower_index(&xs, hi) + 1,
+                )
             })
             .collect();
-        let tree = SegTreeOfSets {
+
+        // Pass 1: count each node's intervals, then number the non-empty
+        // nodes densely in heap order.
+        let mut slot = vec![0u32; 2 * n_leaves];
+        for &(a, b) in &spans {
+            canonical(a, b, |u| slot[u] += 1);
+        }
+        let mut lens = Vec::new();
+        for s in &mut slot {
+            if *s == 0 {
+                *s = EMPTY;
+            } else {
+                lens.push(*s as usize);
+                *s = (lens.len() - 1) as u32;
+            }
+        }
+
+        // Pass 2: place each interval's index in every group it joins.
+        let mut cursor: Vec<usize> = lens
+            .iter()
+            .scan(0, |end, &len| {
+                let start = *end;
+                *end += len;
+                Some(start)
+            })
+            .collect();
+        let mut order = vec![0u32; lens.iter().sum()];
+        for (i, &(a, b)) in spans.iter().enumerate() {
+            canonical(a, b, |u| {
+                let c = &mut cursor[slot[u] as usize];
+                order[*c] = i as u32;
+                *c += 1;
+            });
+        }
+        // Free the scratch before the summaries are built: at n = 2^18 the
+        // build's peak memory is this step plus the caller's summaries.
+        drop(spans);
+        let grouped = order.iter().map(|&i| items[i as usize].clone()).collect();
+        drop(order);
+
+        let slots = lens.len() as u64;
+        let summaries = make(
+            model,
+            Groups {
+                items: grouped,
+                lens,
+            },
+        );
+        let tree = SegTree {
             xs,
-            summaries,
-            n_leaves: cap,
+            slot,
+            n_leaves,
             len: items.len(),
             array_id: model.new_array_id(),
             model: model.clone(),
         };
-        let node_count = tree.summaries.iter().filter(|s| s.is_some()).count() as u64;
-        model.charge_writes(node_count);
-        tree
+        model.charge_writes(slots);
+        (tree, summaries)
     }
 
     /// Number of intervals stored.
@@ -105,25 +177,19 @@ impl<S: Summary> SegTreeOfSets<S> {
         self.len == 0
     }
 
-    /// Total space: summaries plus the endpoint array.
+    /// Space of the tree itself (the endpoint array), in blocks; the
+    /// caller adds its summaries'.
     pub fn space_blocks(&self) -> u64 {
         let per = self.model.config().items_per_block::<f64>().max(1) as u64;
-        let xs_blocks = (self.xs.len() as u64).div_ceil(per);
-        xs_blocks
-            + self
-                .summaries
-                .iter()
-                .flatten()
-                .map(Summary::space_blocks)
-                .sum::<u64>()
+        (self.xs.len() as u64).div_ceil(per)
     }
 
-    /// Visit the summaries on the root-to-leaf path for stabbing point `q`
-    /// (every interval containing `q` lives in exactly one of them).
-    /// Charges one I/O per node on the path (`O(log n)`), plus the
-    /// predecessor search on the endpoint array. Stops early when `visit`
-    /// returns `false`.
-    pub fn for_each_on_path(&self, q: f64, visit: &mut dyn FnMut(&S) -> bool) {
+    /// Visit the slots on the root-to-leaf path for stabbing point `q`
+    /// (every interval containing `q` lives in exactly one of them),
+    /// bottom-up. Charges one I/O per non-empty node on the path
+    /// (`O(log n)`), plus the predecessor search on the endpoint array.
+    /// Stops early when `visit` returns `false`.
+    pub fn for_each_on_path(&self, q: f64, visit: &mut dyn FnMut(usize) -> bool) {
         if self.len == 0 {
             return;
         }
@@ -133,16 +199,14 @@ impl<S: Summary> SegTreeOfSets<S> {
         self.model
             .charge_reads((self.xs.len().max(2) as f64).log2().ceil() as u64);
         let mut u = self.n_leaves + elem; // leaf in heap layout
-        debug_assert!(u < self.summaries.len(), "leaf index out of arena");
+        debug_assert!(u < self.slot.len(), "leaf index out of arena");
         while u >= 1 {
-            if let Some(s) = &self.summaries[u] {
+            let s = self.slot[u];
+            if s != EMPTY {
                 self.model.touch(self.array_id, u as u64);
-                if !visit(s) {
+                if !visit(s as usize) {
                     return;
                 }
-            }
-            if u == 1 {
-                break;
             }
             u /= 2;
         }
@@ -168,19 +232,18 @@ fn stab_index(xs: &[f64], q: f64) -> usize {
     }
 }
 
-/// Recursive canonical assignment in the heap-shaped tree.
-fn assign<E: Clone>(buckets: &mut [Vec<E>], n_leaves: usize, a: usize, b: usize, e: &E) {
-    // Iterative bottom-up canonical decomposition (standard trick).
-    let mut l = a + n_leaves;
-    let mut r = b + n_leaves + 1; // exclusive
+/// Call `f` on each canonical node of the heap leaf span `[l, r]` (the
+/// standard iterative bottom-up decomposition).
+fn canonical(mut l: usize, r: usize, mut f: impl FnMut(usize)) {
+    let mut r = r + 1; // exclusive
     while l < r {
         if l & 1 == 1 {
-            buckets[l].push(e.clone());
+            f(l);
             l += 1;
         }
         if r & 1 == 1 {
             r -= 1;
-            buckets[r].push(e.clone());
+            f(r);
         }
         l /= 2;
         r /= 2;
@@ -191,22 +254,19 @@ fn assign<E: Clone>(buckets: &mut [Vec<E>], n_leaves: usize, a: usize, b: usize,
 mod tests {
     use super::*;
 
-    /// Trivial summary: the raw items.
-    struct Raw(Vec<(f64, f64, u64)>);
-    impl Summary for Raw {
-        fn space_blocks(&self) -> u64 {
-            1 + self.0.len() as u64 / 16
-        }
+    type Item = (f64, f64, u64);
+
+    /// Trivial summaries: each slot's raw items.
+    fn build_raw(model: &CostModel, items: &[Item]) -> (SegTree, Vec<Vec<Item>>) {
+        SegTree::build(
+            model,
+            items,
+            |&(lo, hi, _)| (lo, hi),
+            |_, g| g.into_vecs().collect(),
+        )
     }
 
-    fn build_raw(
-        model: &CostModel,
-        items: &[(f64, f64, u64)],
-    ) -> SegTreeOfSets<Raw> {
-        SegTreeOfSets::build(model, items, |&(lo, hi, _)| (lo, hi), |_, v| Raw(v))
-    }
-
-    fn stab_brute(items: &[(f64, f64, u64)], q: f64) -> Vec<u64> {
+    fn stab_brute(items: &[Item], q: f64) -> Vec<u64> {
         let mut v: Vec<u64> = items
             .iter()
             .filter(|&&(lo, hi, _)| lo <= q && q <= hi)
@@ -216,11 +276,11 @@ mod tests {
         v
     }
 
-    fn stab_tree(tree: &SegTreeOfSets<Raw>, q: f64) -> Vec<u64> {
+    fn stab_tree(tree: &SegTree, sums: &[Vec<Item>], q: f64) -> Vec<u64> {
         let mut v = Vec::new();
         tree.for_each_on_path(q, &mut |s| {
             // Canonical decomposition: EVERY item in a path summary contains q.
-            for &(lo, hi, w) in &s.0 {
+            for &(lo, hi, w) in &sums[s] {
                 assert!(lo <= q && q <= hi, "non-stabbing item in path node");
                 v.push(w);
             }
@@ -228,6 +288,23 @@ mod tests {
         });
         v.sort_unstable();
         v
+    }
+
+    fn random_items(n: u64, seed: u64) -> Vec<Item> {
+        let mut x = seed;
+        let mut rnd = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % 1_000) as f64 / 10.0
+        };
+        (0..n)
+            .map(|i| {
+                let a = rnd();
+                let b = if i % 7 == 0 { a } else { rnd() };
+                (a.min(b), a.max(b), i + 1)
+            })
+            .collect()
     }
 
     #[test]
@@ -241,48 +318,97 @@ mod tests {
             (-4.0, -1.0, 5),
             (8.0, 12.0, 6),
         ];
-        let tree = build_raw(&model, &items);
+        let (tree, sums) = build_raw(&model, &items);
         for q in [
             -5.0, -4.0, -2.5, -1.0, 0.0, 1.0, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 7.0, 7.5, 8.0, 10.0,
             11.0, 12.0, 13.0,
         ] {
-            assert_eq!(stab_tree(&tree, q), stab_brute(&items, q), "q={q}");
+            assert_eq!(stab_tree(&tree, &sums, q), stab_brute(&items, q), "q={q}");
         }
     }
 
     #[test]
     fn randomized_against_brute() {
         let model = CostModel::ram();
-        let mut x: u64 = 1234;
-        let mut rnd = || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            (x % 1_000) as f64 / 10.0
-        };
-        let items: Vec<(f64, f64, u64)> = (0..400u64)
-            .map(|i| {
-                let a = rnd();
-                let b = rnd();
-                (a.min(b), a.max(b), i + 1)
-            })
-            .collect();
-        let tree = build_raw(&model, &items);
-        for _ in 0..200 {
-            let q = rnd();
-            assert_eq!(stab_tree(&tree, q), stab_brute(&items, q), "q={q}");
+        let items = random_items(400, 1234);
+        let (tree, sums) = build_raw(&model, &items);
+        for (_, _, w) in random_items(200, 99) {
+            let q = w as f64 / 2.0 - 1.0;
+            assert_eq!(stab_tree(&tree, &sums, q), stab_brute(&items, q), "q={q}");
         }
+    }
+
+    #[test]
+    fn items_land_in_exactly_the_canonical_nodes_of_their_span() {
+        let model = CostModel::ram();
+        let items = random_items(300, 77);
+        let (tree, sums) = build_raw(&model, &items);
+        // Leaf range of every heap node, and the span of every item.
+        let range = |u: usize| {
+            let depth = u.ilog2() as usize;
+            let width = tree.n_leaves >> depth;
+            let first = (u << (tree.n_leaves.ilog2() as usize - depth)) - tree.n_leaves;
+            (first, first + width - 1)
+        };
+        let span = |&(lo, hi, _): &Item| {
+            (
+                2 * lower_index(&tree.xs, lo) + 1,
+                2 * lower_index(&tree.xs, hi) + 1,
+            )
+        };
+        let covers = |(a, b): (usize, usize), (l, r): (usize, usize)| a <= l && r <= b;
+        let mut seen = vec![Vec::new(); items.len()];
+        for (u, &s) in tree.slot.iter().enumerate() {
+            if s == EMPTY {
+                continue;
+            }
+            for item in &sums[s as usize] {
+                seen[(item.2 - 1) as usize].push(u);
+            }
+        }
+        for (item, nodes) in items.iter().zip(&seen) {
+            // Canonical = covered by the span while the parent is not.
+            let want: Vec<usize> = (1..tree.slot.len())
+                .filter(|&u| {
+                    covers(span(item), range(u)) && (u == 1 || !covers(span(item), range(u / 2)))
+                })
+                .collect();
+            assert_eq!(nodes, &want, "item {item:?}");
+        }
+    }
+
+    #[test]
+    fn slots_are_dense_and_consistent() {
+        let model = CostModel::ram();
+        let items = random_items(500, 5);
+        let (tree, sums) = build_raw(&model, &items);
+        let used: Vec<u32> = tree.slot.iter().copied().filter(|&s| s != EMPTY).collect();
+        let dense: Vec<u32> = (0..sums.len() as u32).collect();
+        assert_eq!(used, dense, "slots 0..s in heap order");
+        assert!(
+            sums.iter().all(|g| !g.is_empty()),
+            "only non-empty nodes get a slot"
+        );
+        // Within a group, items keep their input order.
+        for g in &sums {
+            assert!(g.windows(2).all(|w| w[0].2 < w[1].2));
+        }
+        assert_eq!(
+            model.report().writes,
+            sums.len() as u64,
+            "one write per non-empty node"
+        );
     }
 
     #[test]
     fn each_interval_in_log_nodes() {
         let model = CostModel::ram();
         let n = 1_000;
-        let items: Vec<(f64, f64, u64)> = (0..n)
+        let items: Vec<Item> = (0..n)
             .map(|i| (i as f64, (i + n) as f64, i as u64 + 1))
             .collect();
-        let tree = build_raw(&model, &items);
-        let total: usize = tree.summaries.iter().flatten().map(|s| s.0.len()).sum();
+        let (_, sums) = build_raw(&model, &items);
+        let total: usize = sums.iter().map(Vec::len).sum();
         // O(n log n) copies: with 2n endpoints the tree has ~4n leaves,
         // log ≈ 12; allow 4× slack.
         let bound = (n as f64) * (4.0 * n as f64).log2() * 4.0;
@@ -292,33 +418,37 @@ mod tests {
     #[test]
     fn empty_tree() {
         let model = CostModel::ram();
-        let tree = build_raw(&model, &[]);
+        let (tree, sums) = build_raw(&model, &[]);
         assert!(tree.is_empty());
+        assert!(sums.is_empty());
+        assert_eq!(tree.space_blocks(), 0);
         let mut visited = 0;
         tree.for_each_on_path(1.0, &mut |_| {
             visited += 1;
             true
         });
         assert_eq!(visited, 0);
+        assert_eq!(model.report().writes, 0);
     }
 
     #[test]
     fn point_intervals() {
         let model = CostModel::ram();
         let items = vec![(5.0, 5.0, 1u64), (5.0, 5.0, 2)];
-        // Degenerate [5,5] intervals stab only q = 5.
-        let tree = SegTreeOfSets::build(&model, &items, |&(lo, hi, _)| (lo, hi), |_, v| Raw(v));
-        assert_eq!(stab_tree(&tree, 5.0), vec![1, 2]);
-        assert_eq!(stab_tree(&tree, 4.999), Vec::<u64>::new());
-        assert_eq!(stab_tree(&tree, 5.001), Vec::<u64>::new());
+        // Degenerate [5,5] intervals stab only q = 5: both land in the one
+        // leaf of the point 5.
+        let (tree, sums) = build_raw(&model, &items);
+        assert_eq!(sums, vec![items.clone()]);
+        assert_eq!(stab_tree(&tree, &sums, 5.0), vec![1, 2]);
+        assert_eq!(stab_tree(&tree, &sums, 4.999), Vec::<u64>::new());
+        assert_eq!(stab_tree(&tree, &sums, 5.001), Vec::<u64>::new());
     }
 
     #[test]
     fn early_stop() {
         let model = CostModel::ram();
-        let items: Vec<(f64, f64, u64)> =
-            (0..50).map(|i| (0.0, 100.0, i + 1)).collect();
-        let tree = build_raw(&model, &items);
+        let items: Vec<Item> = (0..50).map(|i| (0.0, 100.0, i + 1)).collect();
+        let (tree, _) = build_raw(&model, &items);
         let mut nodes = 0;
         tree.for_each_on_path(50.0, &mut |_| {
             nodes += 1;

@@ -9,17 +9,17 @@
 //!    emsim may use it (its passes are pre-charged); everything else must
 //!    go through `get` / `scan_*` / `partition_point` / `try_*`, which
 //!    route every block touch through the [`CostModel`] meter.
-//! 2. Inside `crates/emsim`, the storage fields of `BlockArray` and
-//!    `BTree` (`data`, `nodes`, `checksums`, `free`) must stay private —
-//!    a `pub` field would let any crate bypass the meter without even
-//!    calling an accessor.
+//! 2. Inside `crates/emsim`, the storage fields of `BlockArray`, `BTree`
+//!    and `RunArena` (`data`, `nodes`, `free`, `offsets`) must stay
+//!    private — a `pub` field would let any crate bypass the meter without
+//!    even calling an accessor.
 
 use crate::ctx::FileCtx;
 use crate::diag::{Diagnostic, METER_SOUNDNESS};
 use crate::rules::in_emsim;
 
-const STORAGE_STRUCTS: &[&str] = &["BlockArray", "BTree"];
-const STORAGE_FIELDS: &[&str] = &["data", "nodes", "checksums", "free"];
+const STORAGE_STRUCTS: &[&str] = &["BlockArray", "BTree", "RunArena"];
+const STORAGE_FIELDS: &[&str] = &["data", "nodes", "free", "offsets"];
 
 /// Run the rule on one file.
 pub fn check(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {

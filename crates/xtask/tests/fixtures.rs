@@ -56,6 +56,19 @@ fn inv01_ignores_test_code() {
 }
 
 #[test]
+fn inv01_flags_pub_storage_field_of_run_arena() {
+    // `offsets` is a storage field and is flagged; `base` is not one.
+    let a = run("inv01_pub_field");
+    assert_eq!(a.diagnostics.len(), 1, "{}", render(&a.diagnostics));
+    let d = &a.diagnostics[0];
+    assert_eq!(d.rule, METER_SOUNDNESS);
+    assert_eq!(d.file, Path::new("crates/emsim/src/arena.rs"));
+    assert_eq!((d.line, d.col), (5, 9), "span must point at `offsets`");
+    assert!(d.message.contains("`offsets`"), "{}", d.message);
+    assert!(d.message.contains("`RunArena`"), "{}", d.message);
+}
+
+#[test]
 fn inv02_flags_direct_selection_call() {
     let a = run("inv02_chokepoint");
     assert_eq!(a.diagnostics.len(), 1, "{}", render(&a.diagnostics));
